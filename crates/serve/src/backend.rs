@@ -226,13 +226,7 @@ impl ArrayBackend for SimArrayBackend {
         let mut vpu = Vpu::new();
         let (out, r) = if op == ServeOp::GemmGelu {
             let mut epi = |tile: &mut [f32], ctx: &EpilogueCtx| {
-                for i in 0..ctx.imax {
-                    vpu.gelu_slice(
-                        &mut tile[i * ctx.b..][..ctx.jmax],
-                        DivisionPolicy::Host,
-                        mode,
-                    );
-                }
+                vpu.gelu_tile(tile, ctx, DivisionPolicy::Host, mode);
             };
             pa.matmul_with_epilogue(&pb, &mut opts, &mut epi)?
         } else {

@@ -363,15 +363,19 @@ const GEMM_PARALLEL_MACS: u64 = 2_000_000;
 
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
 /// kernel: below this, a shard's work does not amortise its thread's
-/// fork/join cost (measured break-even on the e2e model — a VPU op is
-/// bit-level emulation, so the batch is far smaller than the GEMM
-/// threshold).
-const VPU_PARALLEL_ELEMS: usize = 4_096;
+/// fork/join cost. Measured with the lane kernels (AVX-512, 2 cores):
+/// a 2-shard fork/join costs ~80 µs; single-thread costs are ~40 ns per
+/// element for GELU, ~28 ns for softmax (197-wide rows) and ~10–12 ns
+/// for LayerNorm (64- to 384-wide rows). Two shards break even at about
+/// 2K elements per shard for GELU and softmax and 8K–16K for LayerNorm;
+/// at 8K per shard GELU and softmax run 1.3x faster on two threads and
+/// LayerNorm loses at most ~15%.
+const VPU_PARALLEL_ELEMS: usize = 8_192;
 
 /// Minimum elements per shard in **fast** nonlinear mode. A fast-kernel
-/// element costs tens of native flops instead of thousands of emulation
-/// instructions, so the fork/join break-even sits ~16× higher; sharding
-/// small fast batches is how the thread sweep went non-monotone.
+/// element costs tens of native flops instead of hundreds of emulated
+/// lane instructions, so the fork/join break-even sits ~8× higher;
+/// sharding small fast batches is how the thread sweep went non-monotone.
 const VPU_PARALLEL_ELEMS_FAST: usize = 65_536;
 
 /// Where fp32 divisions and square roots execute.
@@ -1009,9 +1013,9 @@ impl MixedEngine {
         Ok(out)
     }
 
-    /// Fused GEMM + bias + GELU drain to f32. The GELU runs per tile row
-    /// on a per-shard VPU while the tile is hot; counts merge in shard
-    /// order into the live VPU and the gelu census, exactly matching the
+    /// Fused GEMM + bias + GELU drain to f32. The GELU runs per tile on a
+    /// per-shard VPU while the tile is hot; counts merge in shard order
+    /// into the live VPU and the gelu census, exactly matching the
     /// composed `Linear::forward` + `Engine::gelu` totals (GELU is
     /// element-independent, so tile order cannot change bits or counts).
     fn fused_linear_bias_gelu(
@@ -1021,44 +1025,27 @@ impl MixedEngine {
     ) -> Result<MatF32, ArithError> {
         let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
         let threads = self.gemm_threads_for(macs);
-        let division = self.division;
-        let mode = self.nonlinear;
-        let mut vpus: Vec<Vpu> = (0..threads.max(1)).map(|_| self.vpu.fresh()).collect();
+        let mut shards = self.gelu_shards(threads);
         let sat0 = self.sat_mark();
         let t0 = Instant::now();
         let pb = self.rhs_plan(&lin.w)?;
         let t1 = Instant::now();
         let bias = lin.b.as_slice();
         let out = if threads <= 1 {
-            let vpu = &mut vpus[0];
-            ph.matmul_epilogue(pb, |tile, ctx| {
-                bias_epi(tile, ctx, bias);
-                gelu_epi(vpu, tile, ctx, division, mode);
-            })?
+            let shard = &mut shards[0];
+            ph.matmul_epilogue(pb, |tile, ctx| shard.drain(tile, ctx, bias))?
         } else {
-            let mut epis: Vec<_> = vpus
+            let mut epis: Vec<_> = shards
                 .iter_mut()
-                .map(|vpu| {
-                    move |tile: &mut [f32], ctx: &EpilogueCtx| {
-                        bias_epi(tile, ctx, bias);
-                        gelu_epi(vpu, tile, ctx, division, mode);
-                    }
+                .map(|shard| {
+                    move |tile: &mut [f32], ctx: &EpilogueCtx| shard.drain(tile, ctx, bias)
                 })
                 .collect();
             ph.matmul_epilogue_parallel(pb, threads, &mut epis)?
         };
         let t2 = Instant::now();
-        let mut delta = OpCount::default();
-        for v in &vpus {
-            delta.merge(&v.count);
-        }
-        self.vpu.count.merge(&delta);
-        self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
+        self.merge_gelu_shards(&shards, t2.duration_since(t1));
         self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
         self.note_fusion_hit();
         self.tel_fused_gemm(macs, t0, t1, t2, sat0);
@@ -1078,49 +1065,65 @@ impl MixedEngine {
     ) -> Result<PackedBfp, ArithError> {
         let macs = (ph.rows() * ph.cols() * lin.w.cols()) as u64;
         let threads = self.gemm_threads_for(macs);
-        let division = self.division;
-        let mode = self.nonlinear;
         let qz = self.quantizer;
-        let mut vpus: Vec<Vpu> = (0..threads.max(1)).map(|_| self.vpu.fresh()).collect();
+        let mut shards = self.gelu_shards(threads);
         let sat0 = self.sat_mark();
         let t0 = Instant::now();
         let pb = self.rhs_plan(&lin.w)?;
         let t1 = Instant::now();
         let bias = lin.b.as_slice();
         let packed = if threads <= 1 {
-            let vpu = &mut vpus[0];
-            ph.matmul_epilogue_requant(pb, &qz, |tile, ctx| {
-                bias_epi(tile, ctx, bias);
-                gelu_epi(vpu, tile, ctx, division, mode);
-            })?
+            let shard = &mut shards[0];
+            ph.matmul_epilogue_requant(pb, &qz, |tile, ctx| shard.drain(tile, ctx, bias))?
         } else {
-            let mut epis: Vec<_> = vpus
+            let mut epis: Vec<_> = shards
                 .iter_mut()
-                .map(|vpu| {
-                    move |tile: &mut [f32], ctx: &EpilogueCtx| {
-                        bias_epi(tile, ctx, bias);
-                        gelu_epi(vpu, tile, ctx, division, mode);
-                    }
+                .map(|shard| {
+                    move |tile: &mut [f32], ctx: &EpilogueCtx| shard.drain(tile, ctx, bias)
                 })
                 .collect();
             ph.matmul_epilogue_requant_parallel(pb, &qz, threads, &mut epis)?
         };
         let t2 = Instant::now();
-        let mut delta = OpCount::default();
-        for v in &vpus {
-            delta.merge(&v.count);
-        }
-        self.vpu.count.merge(&delta);
-        self.census.gelu.merge(&delta);
-        if mode == NonlinearMode::Fast {
-            self.tel_fast_mix(&delta);
-        }
+        self.merge_gelu_shards(&shards, t2.duration_since(t1));
         self.phase.quantize_pack += t1.duration_since(t0);
-        self.phase.gemm += t2.duration_since(t1);
         self.census.matmul_macs += macs;
         self.note_fusion_hit();
         self.tel_fused_gemm(macs, t0, t1, t2, sat0);
         Ok(packed)
+    }
+
+    /// One fresh GELU drain per GEMM shard.
+    fn gelu_shards(&self, threads: usize) -> Vec<GeluDrain> {
+        (0..threads.max(1))
+            .map(|_| GeluDrain {
+                vpu: self.vpu.fresh(),
+                division: self.division,
+                mode: self.nonlinear,
+                time: Duration::ZERO,
+            })
+            .collect()
+    }
+
+    /// Merge the shards' GELU counts in shard order and split the fused
+    /// kernel's wall time `span` between the phases: the longest shard's
+    /// epilogue time (the GELU on the critical path when shards are
+    /// balanced) is billed to `gelu`, the rest to `gemm`.
+    fn merge_gelu_shards(&mut self, shards: &[GeluDrain], span: Duration) {
+        let mut delta = OpCount::default();
+        let mut gelu = Duration::ZERO;
+        for s in shards {
+            delta.merge(&s.vpu.count);
+            gelu = gelu.max(s.time);
+        }
+        self.vpu.count.merge(&delta);
+        self.census.gelu.merge(&delta);
+        if self.nonlinear == NonlinearMode::Fast {
+            self.tel_fast_mix(&delta);
+        }
+        let gelu = gelu.min(span);
+        self.phase.gelu += gelu;
+        self.phase.gemm += span - gelu;
     }
 
     /// The composed bias-linear exactly as `Linear::forward` runs it —
@@ -1449,6 +1452,24 @@ impl MixedEngine {
     }
 }
 
+/// One GEMM shard's fused bias + GELU drain: its own VPU (counts merge
+/// after the join) and the wall time its GELU epilogue spent.
+struct GeluDrain {
+    vpu: Vpu,
+    division: DivisionPolicy,
+    mode: NonlinearMode,
+    time: Duration,
+}
+
+impl GeluDrain {
+    fn drain(&mut self, tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32]) {
+        bias_epi(tile, ctx, bias);
+        let t0 = Instant::now();
+        self.vpu.gelu_tile(tile, ctx, self.division, self.mode);
+        self.time += t0.elapsed();
+    }
+}
+
 /// Bias-add drain over one hot output tile: the element order of the
 /// composed `Linear::forward` bias loop restricted to the tile.
 #[inline]
@@ -1471,29 +1492,6 @@ fn bias_residual_epi(tile: &mut [f32], ctx: &EpilogueCtx, bias: &[f32], skip: &M
         for (j, v) in row.iter_mut().enumerate() {
             let y = *v + bias[ctx.c0 + j];
             *v = skip.get(r, ctx.c0 + j) + y;
-        }
-    }
-}
-
-/// GELU drain over one hot tile. Full-width tiles (the common case —
-/// every model dimension here is a multiple of the block) take a single
-/// VPU slice call over the contiguous valid region; only right-edge
-/// partial tiles pay one call per row. GELU is element-independent and
-/// the VPU op cost is per-element, so tile-order evaluation is bit- and
-/// count-identical to the composed whole-matrix pass either way.
-#[inline]
-fn gelu_epi(
-    vpu: &mut Vpu,
-    tile: &mut [f32],
-    ctx: &EpilogueCtx,
-    division: DivisionPolicy,
-    mode: NonlinearMode,
-) {
-    if ctx.jmax == ctx.b {
-        vpu.gelu_slice(&mut tile[..ctx.imax * ctx.b], division, mode);
-    } else {
-        for i in 0..ctx.imax {
-            vpu.gelu_slice(&mut tile[i * ctx.b..][..ctx.jmax], division, mode);
         }
     }
 }
@@ -2216,6 +2214,29 @@ mod tests {
         assert!(t.accounted() >= t.softmax + t.gemm);
         // take_phase_times resets.
         assert_eq!(e.phase_times(), PhaseTimes::default());
+    }
+
+    #[test]
+    fn fused_gelu_epilogue_time_is_billed_to_the_gelu_phase() {
+        // Under the compiled plan fc1's GELU runs in the GEMM drain; its
+        // time must land in `gelu`, not hide inside `gemm`.
+        use crate::config::VitConfig;
+        use crate::model::VitModel;
+        let model = VitModel::new_random(VitConfig::tiny_test(), 11);
+        let x = model.synthetic_input(12);
+        for mode in [NonlinearMode::Exact, NonlinearMode::Fast] {
+            for threads in [1usize, 2] {
+                let mut e = MixedEngine::new()
+                    .with_threads(threads)
+                    .with_nonlinear(mode)
+                    .with_vit_plan(CompiledVitPlan::fuse_all());
+                let _ = model.forward(&mut e, &x);
+                assert!(e.fusion_stats().0 > 0, "plan must hit");
+                let t = e.take_phase_times();
+                assert!(t.gelu > Duration::ZERO, "{mode:?} threads {threads}: {t:?}");
+                assert!(t.gemm > Duration::ZERO, "{mode:?} threads {threads}: {t:?}");
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,13 @@
 //! [`crate::flops`].
 
 use bfp_arith::fpadd::{AddVariant, HwFp32Add};
-use bfp_arith::fpmul::{HwFp32Mul, MulVariant};
+use bfp_arith::fpmul::{HwFp32Mul, MulVariant, NormRound};
+use bfp_arith::packed::EpilogueCtx;
 
 use crate::engine::DivisionPolicy;
 
 pub mod fast;
+mod lanes;
 
 /// Selects which nonlinear kernel family the batched VPU entry points
 /// run.
@@ -267,59 +269,18 @@ impl Vpu {
     /// `e^x` by range reduction (`x = k ln2 + f ln2`) and a degree-5
     /// polynomial for `2^f`: 6 multiplies, 9 adds, 1 exponent adjust.
     pub fn exp(&mut self, x: f32) -> f32 {
-        // Control logic clamps the representable range.
-        if x > 88.0 {
-            return f32::INFINITY;
-        }
-        if x < -87.0 {
-            return 0.0;
-        }
-        let t = self.m(x, std::f32::consts::LOG2_E);
-        // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
-        // constant pushes the fraction off the mantissa, and truncation
-        // floors it.
-        let th = self.a(t, 0.5);
-        let shifted = self.a(th, ROUND_MAGIC);
-        let kf = self.s(shifted, ROUND_MAGIC);
-        let f = self.s(t, kf);
-        // Horner: 2^f ≈ Σ c_i f^i.
-        let mut p = EXP2_POLY[5];
-        for c in EXP2_POLY[..5].iter().rev() {
-            let pf = self.m(p, f);
-            p = self.a(pf, *c);
-        }
-        self.scale_exp2(p, kf as i32)
+        exp(self, x)
     }
 
     /// `tanh(u) = 1 − 2 / (e^{2u} + 1)`: one exp, plus 1 mul, 2 adds, and a
     /// host division.
     pub fn tanh(&mut self, u: f32) -> f32 {
-        if u > 15.0 {
-            return 1.0;
-        }
-        if u < -15.0 {
-            return -1.0;
-        }
-        let two_u = self.m(u, 2.0);
-        let e = self.exp(two_u);
-        let d = self.a(e, 1.0);
-        let q = self.div_host(2.0, d);
-        self.s(1.0, q)
+        tanh(self, u, DivisionPolicy::Host)
     }
 
     /// Tanh-form GELU on the VPU.
     pub fn gelu(&mut self, x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // √(2/π)
-        const A: f32 = 0.044_715;
-        let x2 = self.m(x, x);
-        let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, A);
-        let inner = self.a(x, ax3);
-        let u = self.m(inner, C);
-        let t = self.tanh(u);
-        let one_t = self.a(1.0, t);
-        let hx = self.m(x, 0.5);
-        self.m(hx, one_t)
+        gelu(self, x, DivisionPolicy::Host)
     }
 
     // ------------------------------------------------------------------
@@ -337,27 +298,7 @@ impl Vpu {
     ///
     /// Cost: `2·iters` muls and `iters` adds, plus one exponent adjust.
     pub fn recip(&mut self, x: f32, iters: u32) -> f32 {
-        if x == 0.0 {
-            return if x.is_sign_negative() {
-                f32::NEG_INFINITY
-            } else {
-                f32::INFINITY
-            };
-        }
-        // Initial guess: flip the exponent around 2^0 and seed the
-        // mantissa via the classic bit trick (exponent-field arithmetic,
-        // done by the EU — not a multiplier op).
-        self.count.exp_adjust += 1;
-        let mut y = f32::from_bits(0x7EEF_311Du32.wrapping_sub(x.abs().to_bits()));
-        if x < 0.0 {
-            y = -y;
-        }
-        for _ in 0..iters {
-            let xy = self.m(x, y);
-            let e = self.s(2.0, xy);
-            y = self.m(y, e);
-        }
-        y
+        recip(self, x, iters)
     }
 
     /// Division on the array: `a × recip(b)`.
@@ -372,78 +313,25 @@ impl Vpu {
     /// # Panics
     /// Panics on negative input (LayerNorm variances are non-negative).
     pub fn rsqrt_onchip(&mut self, x: f32, iters: u32) -> f32 {
-        assert!(x >= 0.0, "rsqrt of a negative value");
-        if x == 0.0 {
-            return f32::INFINITY;
-        }
-        self.count.exp_adjust += 1;
-        let mut y = f32::from_bits(0x5f37_59dfu32.wrapping_sub(x.to_bits() >> 1));
-        for _ in 0..iters {
-            let y2 = self.m(y, y);
-            let xy2 = self.m(x, y2);
-            let h = self.m(xy2, 0.5);
-            let e = self.s(1.5, h);
-            y = self.m(y, e);
-        }
-        y
+        rsqrt(self, x, iters)
     }
 
     /// `tanh` with the Newton–Raphson reciprocal instead of the host
     /// division.
     pub fn tanh_onchip(&mut self, u: f32) -> f32 {
-        if u > 15.0 {
-            return 1.0;
-        }
-        if u < -15.0 {
-            return -1.0;
-        }
-        let two_u = self.m(u, 2.0);
-        let e = self.exp(two_u);
-        let d = self.a(e, 1.0);
-        let r = self.recip(d, 3);
-        let q = self.m(2.0, r);
-        self.s(1.0, q)
+        tanh(self, u, DivisionPolicy::OnChip)
     }
 
     /// Tanh-form GELU computed entirely on the array.
     pub fn gelu_onchip(&mut self, x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // √(2/π)
-        const A: f32 = 0.044_715;
-        let x2 = self.m(x, x);
-        let x3 = self.m(x2, x);
-        let ax3 = self.m(x3, A);
-        let inner = self.a(x, ax3);
-        let u = self.m(inner, C);
-        let t = self.tanh_onchip(u);
-        let one_t = self.a(1.0, t);
-        let hx = self.m(x, 0.5);
-        self.m(hx, one_t)
+        gelu(self, x, DivisionPolicy::OnChip)
     }
 
     /// Row-wise softmax with **on-chip** normalisation: one reciprocal per
     /// row instead of N host divisions — the optimised kernel the paper's
     /// future-work section points at.
     pub fn softmax_row_onchip(&mut self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        let mut max = row[0];
-        for &v in &row[1..] {
-            self.count.cmp += 1;
-            if v > max {
-                max = v;
-            }
-        }
-        let mut sum = 0f32;
-        for v in row.iter_mut() {
-            let shifted = self.s(*v, max);
-            *v = self.exp(shifted);
-            sum = self.a(sum, *v);
-        }
-        let inv = self.recip(sum, 3);
-        for v in row.iter_mut() {
-            *v = self.m(*v, inv);
-        }
+        softmax_row(self, row, DivisionPolicy::OnChip)
     }
 
     /// Row-wise LayerNorm fully on the array (NR reciprocal square root
@@ -452,57 +340,13 @@ impl Vpu {
     /// # Panics
     /// Panics if `gamma`/`beta` lengths differ from the row length.
     pub fn layernorm_row_onchip(&mut self, row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
-        let n = row.len();
-        assert_eq!(gamma.len(), n, "gamma length");
-        assert_eq!(beta.len(), n, "beta length");
-        if n == 0 {
-            return;
-        }
-        let inv_n = 1.0 / n as f32;
-        let mut sum = 0f32;
-        for &v in row.iter() {
-            sum = self.a(sum, v);
-        }
-        let mean = self.m(sum, inv_n);
-        let mut var_sum = 0f32;
-        for v in row.iter_mut() {
-            let d = self.s(*v, mean);
-            *v = d;
-            let d2 = self.m(d, d);
-            var_sum = self.a(var_sum, d2);
-        }
-        let var = self.m(var_sum, inv_n);
-        let ve = self.a(var, eps);
-        let inv = self.rsqrt_onchip(ve, 3);
-        for (j, v) in row.iter_mut().enumerate() {
-            let nrm = self.m(*v, inv);
-            let g = self.m(nrm, gamma[j]);
-            *v = self.a(g, beta[j]);
-        }
+        layernorm_row(self, row, gamma, beta, eps, DivisionPolicy::OnChip)
     }
 
     /// Row-wise softmax: comparator max-reduction, subtract, exp, sum, and
     /// the **host-side divisions** the paper calls out.
     pub fn softmax_row(&mut self, row: &mut [f32]) {
-        if row.is_empty() {
-            return;
-        }
-        let mut max = row[0];
-        for &v in &row[1..] {
-            self.count.cmp += 1;
-            if v > max {
-                max = v;
-            }
-        }
-        let mut sum = 0f32;
-        for v in row.iter_mut() {
-            let shifted = self.s(*v, max);
-            *v = self.exp(shifted);
-            sum = self.a(sum, *v);
-        }
-        for v in row.iter_mut() {
-            *v = self.div_host(*v, sum);
-        }
+        softmax_row(self, row, DivisionPolicy::Host)
     }
 
     /// Row-wise LayerNorm: mean/variance on the adder tree, 1/√· on the
@@ -511,49 +355,33 @@ impl Vpu {
     /// # Panics
     /// Panics if `gamma`/`beta` lengths differ from the row length.
     pub fn layernorm_row(&mut self, row: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
-        let n = row.len();
-        assert_eq!(gamma.len(), n, "gamma length");
-        assert_eq!(beta.len(), n, "beta length");
-        if n == 0 {
-            return;
-        }
-        let inv_n = 1.0 / n as f32; // compile-time constant in hardware
-        let mut sum = 0f32;
-        for &v in row.iter() {
-            sum = self.a(sum, v);
-        }
-        let mean = self.m(sum, inv_n);
-        let mut var_sum = 0f32;
-        for v in row.iter_mut() {
-            let d = self.s(*v, mean);
-            *v = d;
-            let d2 = self.m(d, d);
-            var_sum = self.a(var_sum, d2);
-        }
-        let var = self.m(var_sum, inv_n);
-        let ve = self.a(var, eps);
-        let sd = self.sqrt_host(ve);
-        let inv = self.div_host(1.0, sd);
-        for (j, v) in row.iter_mut().enumerate() {
-            let nrm = self.m(*v, inv);
-            let g = self.m(nrm, gamma[j]);
-            *v = self.a(g, beta[j]);
-        }
+        layernorm_row(self, row, gamma, beta, eps, DivisionPolicy::Host)
     }
 
     // ------------------------------------------------------------------
     // Batched slice kernels: the per-batch entry points the engine (and
     // its row-sharded parallel path) drives. The `(NonlinearMode,
-    // DivisionPolicy)` match happens once per batch here — not once per
-    // row or per element as the engine's old loops did — so each arm is a
-    // monomorphized straight loop over one scalar kernel, and the
-    // multiplier/adder rounding-path configuration is a fixed field of
-    // `self`, resolved once when the VPU is built. The `Exact` arms are
-    // bit-identical to calling the scalar kernels directly (oracle
-    // contract); the `Fast` arms run the [`fast`] kernels and charge
-    // their analytic per-element op mixes in one merge, since the fast
-    // unit is a pipeline whose cost is data-independent.
+    // DivisionPolicy)` match happens once per batch here, not once per
+    // row or element. The `Exact` arms run the [`lanes`] kernels — the
+    // same formulas evaluated 16 elements (GELU) or 16 rows (softmax,
+    // LayerNorm) at a time — whenever this VPU carries the paper's
+    // datapath, and the per-element scalar kernels otherwise; both are
+    // bit- and count-identical to calling the scalar kernels directly
+    // (oracle contract). The `Fast` arms run the [`fast`] kernels and
+    // charge their analytic per-element op mixes in one merge, since the
+    // fast unit is a pipeline whose cost is data-independent.
     // ------------------------------------------------------------------
+
+    /// True when this VPU carries the paper's datapath (LSP-dropped
+    /// truncating multiplier, 48-bit truncating adder, closed-form
+    /// products) — the one configuration the lane kernels model.
+    fn on_lanes(&self) -> bool {
+        !self.via_partials
+            && self.mul.variant == MulVariant::DropLsp
+            && self.mul.round == NormRound::Truncate
+            && self.add.variant == AddVariant::Exact48
+            && self.add.round == NormRound::Truncate
+    }
 
     /// Softmax over every `cols`-wide row of `data` (a whole matrix or a
     /// disjoint row-shard of one).
@@ -571,24 +399,23 @@ impl Vpu {
             return;
         }
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
-        match (mode, division) {
-            (NonlinearMode::Exact, DivisionPolicy::Host) => {
-                for row in data.chunks_exact_mut(cols) {
-                    self.softmax_row(row);
-                }
+        match mode {
+            NonlinearMode::Exact if self.on_lanes() => {
+                lanes::softmax_rows(lanes::Isa::best(), self, data, cols, division)
             }
-            (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
+            NonlinearMode::Exact => {
                 for row in data.chunks_exact_mut(cols) {
-                    self.softmax_row_onchip(row);
+                    softmax_row(self, row, division);
                 }
             }
             // The fast unit never leaves the array; DivisionPolicy is moot.
-            (NonlinearMode::Fast, _) => {
+            NonlinearMode::Fast => {
                 let rows = (data.len() / cols) as u64;
                 for row in data.chunks_exact_mut(cols) {
                     fast::softmax_row(row);
                 }
-                self.count.merge(&fast::cost::softmax_row(cols as u64).times(rows));
+                self.count
+                    .merge(&fast::cost::softmax_row(cols as u64).times(rows));
             }
         }
     }
@@ -596,22 +423,46 @@ impl Vpu {
     /// Element-wise GELU over a slice (any tile of a matrix; GELU has no
     /// row structure, so shards may cut anywhere).
     pub fn gelu_slice(&mut self, data: &mut [f32], division: DivisionPolicy, mode: NonlinearMode) {
-        match (mode, division) {
-            (NonlinearMode::Exact, DivisionPolicy::Host) => {
+        match mode {
+            NonlinearMode::Exact if self.on_lanes() => {
+                lanes::gelu_slice(lanes::Isa::best(), self, data, division)
+            }
+            NonlinearMode::Exact => {
                 for v in data.iter_mut() {
-                    *v = self.gelu(*v);
+                    *v = gelu(self, *v, division);
                 }
             }
-            (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
-                for v in data.iter_mut() {
-                    *v = self.gelu_onchip(*v);
-                }
-            }
-            (NonlinearMode::Fast, _) => {
+            NonlinearMode::Fast => {
                 for v in data.iter_mut() {
                     *v = fast::gelu(*v);
                 }
-                self.count.merge(&fast::cost::gelu().times(data.len() as u64));
+                self.count
+                    .merge(&fast::cost::gelu().times(data.len() as u64));
+            }
+        }
+    }
+
+    /// GELU drain over one hot GEMM output tile (the fused
+    /// GEMM→bias→GELU epilogue of the engine and of the serving kernel).
+    /// Full-width tiles — the common case, every model dimension here is
+    /// a multiple of the block — take one [`Self::gelu_slice`] call over
+    /// the contiguous valid region, so an 8×8 tile reaches the lane
+    /// kernels as 64 elements; only right-edge partial tiles pay one call
+    /// per row. GELU is element-independent and its op cost per-element,
+    /// so tile-order evaluation is bit- and count-identical to a
+    /// whole-matrix pass.
+    pub fn gelu_tile(
+        &mut self,
+        tile: &mut [f32],
+        ctx: &EpilogueCtx,
+        division: DivisionPolicy,
+        mode: NonlinearMode,
+    ) {
+        if ctx.jmax == ctx.b {
+            self.gelu_slice(&mut tile[..ctx.imax * ctx.b], division, mode);
+        } else {
+            for i in 0..ctx.imax {
+                self.gelu_slice(&mut tile[i * ctx.b..][..ctx.jmax], division, mode);
             }
         }
     }
@@ -636,18 +487,23 @@ impl Vpu {
             return;
         }
         assert_eq!(data.len() % cols, 0, "batch must hold whole rows");
-        match (mode, division) {
-            (NonlinearMode::Exact, DivisionPolicy::Host) => {
+        match mode {
+            NonlinearMode::Exact if self.on_lanes() => lanes::layernorm_rows(
+                lanes::Isa::best(),
+                self,
+                data,
+                cols,
+                gamma,
+                beta,
+                eps,
+                division,
+            ),
+            NonlinearMode::Exact => {
                 for row in data.chunks_exact_mut(cols) {
-                    self.layernorm_row(row, gamma, beta, eps);
+                    layernorm_row(self, row, gamma, beta, eps, division);
                 }
             }
-            (NonlinearMode::Exact, DivisionPolicy::OnChip) => {
-                for row in data.chunks_exact_mut(cols) {
-                    self.layernorm_row_onchip(row, gamma, beta, eps);
-                }
-            }
-            (NonlinearMode::Fast, _) => {
+            NonlinearMode::Fast => {
                 let rows = (data.len() / cols) as u64;
                 for row in data.chunks_exact_mut(cols) {
                     fast::layernorm_row(row, gamma, beta, eps);
@@ -656,6 +512,366 @@ impl Vpu {
                     .merge(&fast::cost::layernorm_row(cols as u64).times(rows));
             }
         }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The exact kernels, written once. Each formula below is the paper's
+// vector program over an abstract [`Datapath`]: the scalar [`Vpu`] runs
+// it one element at a time on `HwFp32Mul`/`HwFp32Add` (the oracle), and
+// [`lanes::Block`] runs the same program on 16 lanes at once. A
+// data-dependent early-out is a [`Datapath::unless`] region, so each lane
+// is billed exactly the ops its scalar run would execute.
+// ----------------------------------------------------------------------
+
+/// The operations a VPU program is built from, over one value (`V`) and
+/// one predicate (`M`) per lane. Every op bills [`OpCount`] once per
+/// live lane.
+pub(crate) trait Datapath {
+    /// One fp32 value per lane.
+    type V: Copy;
+    /// One predicate per lane.
+    type M: Copy;
+
+    /// A constant in every lane.
+    fn splat(c: f32) -> Self::V;
+    /// Hardware multiply.
+    fn mul(&mut self, a: Self::V, b: Self::V) -> Self::V;
+    /// Hardware add.
+    fn add(&mut self, a: Self::V, b: Self::V) -> Self::V;
+    /// Hardware subtract.
+    fn sub(&mut self, a: Self::V, b: Self::V) -> Self::V;
+    /// Host division.
+    fn div_host(&mut self, a: Self::V, b: Self::V) -> Self::V;
+    /// Host square root.
+    fn sqrt_host(&mut self, a: Self::V) -> Self::V;
+    /// Exponent-unit scaling `x · 2^k` with `k = kf as i32`.
+    fn scale_exp2(&mut self, x: Self::V, kf: Self::V) -> Self::V;
+    /// Exponent-unit reciprocal seed: `0x7EEF311D − |x|` bits, with the
+    /// sign of `x`.
+    fn recip_seed(&mut self, x: Self::V) -> Self::V;
+    /// Exponent-unit reciprocal-square-root seed: `0x5F3759DF − x/2` bits.
+    fn rsqrt_seed(&mut self, x: Self::V) -> Self::V;
+    /// One comparator step of a max reduction: `if v > max { v } else { max }`.
+    fn cmp_max(&mut self, v: Self::V, max: Self::V) -> Self::V;
+    /// The rsqrt domain contract: a negative (or NaN) input is an error.
+    fn check_nonneg(&mut self, x: Self::V);
+    /// `a > c` per lane.
+    fn gt(a: Self::V, c: f32) -> Self::M;
+    /// `a < c` per lane.
+    fn lt(a: Self::V, c: f32) -> Self::M;
+    /// `a == 0.0` per lane (either signed zero).
+    fn is_zero(a: Self::V) -> Self::M;
+    /// Lane-wise or.
+    fn or(a: Self::M, b: Self::M) -> Self::M;
+    /// `if m { a } else { b }` per lane.
+    fn select(m: Self::M, a: Self::V, b: Self::V) -> Self::V;
+    /// `c` with the sign of `x`, per lane.
+    fn copysign(c: f32, x: Self::V) -> Self::V;
+    /// Lanes in `out` yield `val`; the rest run `body`, and only they are
+    /// billed its ops.
+    fn unless(
+        &mut self,
+        out: Self::M,
+        val: Self::V,
+        body: impl FnOnce(&mut Self) -> Self::V,
+    ) -> Self::V;
+}
+
+impl Datapath for Vpu {
+    type V = f32;
+    type M = bool;
+
+    #[inline(always)]
+    fn splat(c: f32) -> f32 {
+        c
+    }
+    #[inline(always)]
+    fn mul(&mut self, a: f32, b: f32) -> f32 {
+        self.m(a, b)
+    }
+    #[inline(always)]
+    fn add(&mut self, a: f32, b: f32) -> f32 {
+        self.a(a, b)
+    }
+    #[inline(always)]
+    fn sub(&mut self, a: f32, b: f32) -> f32 {
+        self.s(a, b)
+    }
+    #[inline(always)]
+    fn div_host(&mut self, a: f32, b: f32) -> f32 {
+        Vpu::div_host(self, a, b)
+    }
+    #[inline(always)]
+    fn sqrt_host(&mut self, a: f32) -> f32 {
+        Vpu::sqrt_host(self, a)
+    }
+    #[inline(always)]
+    fn scale_exp2(&mut self, x: f32, kf: f32) -> f32 {
+        Vpu::scale_exp2(self, x, kf as i32)
+    }
+    #[inline(always)]
+    fn recip_seed(&mut self, x: f32) -> f32 {
+        self.count.exp_adjust += 1;
+        let y = f32::from_bits(0x7EEF_311Du32.wrapping_sub(x.abs().to_bits()));
+        if x < 0.0 {
+            -y
+        } else {
+            y
+        }
+    }
+    #[inline(always)]
+    fn rsqrt_seed(&mut self, x: f32) -> f32 {
+        self.count.exp_adjust += 1;
+        f32::from_bits(0x5f37_59dfu32.wrapping_sub(x.to_bits() >> 1))
+    }
+    #[inline(always)]
+    fn cmp_max(&mut self, v: f32, max: f32) -> f32 {
+        self.count.cmp += 1;
+        if v > max {
+            v
+        } else {
+            max
+        }
+    }
+    #[inline(always)]
+    fn check_nonneg(&mut self, x: f32) {
+        assert!(x >= 0.0, "rsqrt of a negative value");
+    }
+    #[inline(always)]
+    fn gt(a: f32, c: f32) -> bool {
+        a > c
+    }
+    #[inline(always)]
+    fn lt(a: f32, c: f32) -> bool {
+        a < c
+    }
+    #[inline(always)]
+    fn is_zero(a: f32) -> bool {
+        a == 0.0
+    }
+    #[inline(always)]
+    fn or(a: bool, b: bool) -> bool {
+        a || b
+    }
+    #[inline(always)]
+    fn select(m: bool, a: f32, b: f32) -> f32 {
+        if m {
+            a
+        } else {
+            b
+        }
+    }
+    #[inline(always)]
+    fn copysign(c: f32, x: f32) -> f32 {
+        c.copysign(x)
+    }
+    #[inline(always)]
+    fn unless(&mut self, out: bool, val: f32, body: impl FnOnce(&mut Self) -> f32) -> f32 {
+        if out {
+            val
+        } else {
+            body(self)
+        }
+    }
+}
+
+/// `e^x`: control logic clamps the representable range, then range
+/// reduction `t = x·log2 e = k + f` and a Horner polynomial for `2^f`.
+#[inline(always)]
+fn exp<D: Datapath>(d: &mut D, x: D::V) -> D::V {
+    let hi = D::gt(x, 88.0);
+    let clamped = D::or(hi, D::lt(x, -87.0));
+    let val = D::select(hi, D::splat(f32::INFINITY), D::splat(0.0));
+    d.unless(
+        clamped,
+        val,
+        #[inline(always)]
+        |d| {
+            let t = d.mul(x, D::splat(std::f32::consts::LOG2_E));
+            // floor(t + 0.5) = round(t) with the *truncating* adder: the magic
+            // constant pushes the fraction off the mantissa, and truncation
+            // floors it.
+            let th = d.add(t, D::splat(0.5));
+            let shifted = d.add(th, D::splat(ROUND_MAGIC));
+            let kf = d.sub(shifted, D::splat(ROUND_MAGIC));
+            let f = d.sub(t, kf);
+            // Horner: 2^f ≈ Σ c_i f^i.
+            let mut p = D::splat(EXP2_POLY[5]);
+            for c in EXP2_POLY[..5].iter().rev() {
+                let pf = d.mul(p, f);
+                p = d.add(pf, D::splat(*c));
+            }
+            d.scale_exp2(p, kf)
+        },
+    )
+}
+
+/// `1/x` on the array: EU seed + `iters` Newton–Raphson steps.
+#[inline(always)]
+fn recip<D: Datapath>(d: &mut D, x: D::V, iters: u32) -> D::V {
+    let val = D::copysign(f32::INFINITY, x);
+    d.unless(
+        D::is_zero(x),
+        val,
+        #[inline(always)]
+        |d| {
+            let mut y = d.recip_seed(x);
+            for _ in 0..iters {
+                let xy = d.mul(x, y);
+                let e = d.sub(D::splat(2.0), xy);
+                y = d.mul(y, e);
+            }
+            y
+        },
+    )
+}
+
+/// `1/√x` on the array: EU seed + `iters` Newton–Raphson steps.
+#[inline(always)]
+fn rsqrt<D: Datapath>(d: &mut D, x: D::V, iters: u32) -> D::V {
+    d.check_nonneg(x);
+    d.unless(
+        D::is_zero(x),
+        D::splat(f32::INFINITY),
+        #[inline(always)]
+        |d| {
+            let mut y = d.rsqrt_seed(x);
+            for _ in 0..iters {
+                let y2 = d.mul(y, y);
+                let xy2 = d.mul(x, y2);
+                let h = d.mul(xy2, D::splat(0.5));
+                let e = d.sub(D::splat(1.5), h);
+                y = d.mul(y, e);
+            }
+            y
+        },
+    )
+}
+
+/// `tanh(u) = 1 − 2 / (e^{2u} + 1)`, saturating at |u| > 15; the division
+/// runs on the host or as an on-array reciprocal.
+#[inline(always)]
+fn tanh<D: Datapath>(d: &mut D, u: D::V, division: DivisionPolicy) -> D::V {
+    let hi = D::gt(u, 15.0);
+    let saturated = D::or(hi, D::lt(u, -15.0));
+    let val = D::select(hi, D::splat(1.0), D::splat(-1.0));
+    d.unless(
+        saturated,
+        val,
+        #[inline(always)]
+        |d| {
+            let two_u = d.mul(u, D::splat(2.0));
+            let e = exp(d, two_u);
+            let den = d.add(e, D::splat(1.0));
+            let q = match division {
+                DivisionPolicy::Host => d.div_host(D::splat(2.0), den),
+                DivisionPolicy::OnChip => {
+                    let r = recip(d, den, 3);
+                    d.mul(D::splat(2.0), r)
+                }
+            };
+            d.sub(D::splat(1.0), q)
+        },
+    )
+}
+
+/// Tanh-form GELU: `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
+#[inline(always)]
+fn gelu<D: Datapath>(d: &mut D, x: D::V, division: DivisionPolicy) -> D::V {
+    const C: f32 = 0.797_884_6; // √(2/π)
+    const A: f32 = 0.044_715;
+    let x2 = d.mul(x, x);
+    let x3 = d.mul(x2, x);
+    let ax3 = d.mul(x3, D::splat(A));
+    let inner = d.add(x, ax3);
+    let u = d.mul(inner, D::splat(C));
+    let t = tanh(d, u, division);
+    let one_t = d.add(D::splat(1.0), t);
+    let hx = d.mul(x, D::splat(0.5));
+    d.mul(hx, one_t)
+}
+
+/// Softmax of one row: comparator max-reduction, subtract, exp and a
+/// serial running sum, then normalisation by host division or by one
+/// on-array reciprocal.
+#[inline(always)]
+fn softmax_row<D: Datapath>(d: &mut D, row: &mut [D::V], division: DivisionPolicy) {
+    if row.is_empty() {
+        return;
+    }
+    let mut max = row[0];
+    for &v in &row[1..] {
+        max = d.cmp_max(v, max);
+    }
+    let mut sum = D::splat(0.0);
+    for v in row.iter_mut() {
+        let shifted = d.sub(*v, max);
+        *v = exp(d, shifted);
+        sum = d.add(sum, *v);
+    }
+    match division {
+        DivisionPolicy::Host => {
+            for v in row.iter_mut() {
+                *v = d.div_host(*v, sum);
+            }
+        }
+        DivisionPolicy::OnChip => {
+            let inv = recip(d, sum, 3);
+            for v in row.iter_mut() {
+                *v = d.mul(*v, inv);
+            }
+        }
+    }
+}
+
+/// LayerNorm of one row: mean and variance on the adder (serial sums),
+/// `1/√(var + eps)` on the host or by on-array rsqrt, affine on the
+/// multiplier.
+///
+/// # Panics
+/// Panics if `gamma`/`beta` lengths differ from the row length.
+#[inline(always)]
+fn layernorm_row<D: Datapath>(
+    d: &mut D,
+    row: &mut [D::V],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    division: DivisionPolicy,
+) {
+    let n = row.len();
+    assert_eq!(gamma.len(), n, "gamma length");
+    assert_eq!(beta.len(), n, "beta length");
+    if n == 0 {
+        return;
+    }
+    let inv_n = D::splat(1.0 / n as f32); // compile-time constant in hardware
+    let mut sum = D::splat(0.0);
+    for &v in row.iter() {
+        sum = d.add(sum, v);
+    }
+    let mean = d.mul(sum, inv_n);
+    let mut var_sum = D::splat(0.0);
+    for v in row.iter_mut() {
+        let dv = d.sub(*v, mean);
+        *v = dv;
+        let d2 = d.mul(dv, dv);
+        var_sum = d.add(var_sum, d2);
+    }
+    let var = d.mul(var_sum, inv_n);
+    let ve = d.add(var, D::splat(eps));
+    let inv = match division {
+        DivisionPolicy::Host => {
+            let sd = d.sqrt_host(ve);
+            d.div_host(D::splat(1.0), sd)
+        }
+        DivisionPolicy::OnChip => rsqrt(d, ve, 3),
+    };
+    for (j, v) in row.iter_mut().enumerate() {
+        let nrm = d.mul(*v, inv);
+        let g = d.mul(nrm, D::splat(gamma[j]));
+        *v = d.add(g, D::splat(beta[j]));
     }
 }
 

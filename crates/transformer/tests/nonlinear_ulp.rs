@@ -517,3 +517,46 @@ fn lmul_gelu_stays_within_characterized_relative_bound() {
     assert!(worst < 0.60, "lmul gelu rel error {worst}");
     assert!(worst > 0.02, "lmul lane suspiciously exact: {worst}");
 }
+
+// ---------------------------------------------------------------------------
+// Batched exact GELU vs the scalar oracle over the whole f32 range
+// ---------------------------------------------------------------------------
+
+#[test]
+#[ignore = "heavy sweep: run in release (CI ulp-suite job)"]
+fn heavy_batched_exact_gelu_matches_scalar_over_the_whole_range() {
+    // Every 257th bit pattern — ~16.7M inputs, every exponent of both
+    // signs, NaN and infinities included — through the batched entry
+    // point in engine-tile-sized calls, against the per-element kernel:
+    // outputs bit for bit and op counts exactly.
+    const STRIDE: u64 = 257;
+    const TILE: usize = 64;
+    for division in [DivisionPolicy::Host, DivisionPolicy::OnChip] {
+        let mut scalar = Vpu::new();
+        let mut batched = Vpu::new();
+        let mut buf = Vec::with_capacity(TILE);
+        let mut bits = 0u64;
+        while bits < 1 << 32 {
+            buf.clear();
+            while buf.len() < TILE && bits < 1 << 32 {
+                buf.push(f32::from_bits(bits as u32));
+                bits += STRIDE;
+            }
+            let xs = buf.clone();
+            batched.gelu_slice(&mut buf, division, NonlinearMode::Exact);
+            for (&x, &got) in xs.iter().zip(&buf) {
+                let want = match division {
+                    DivisionPolicy::Host => scalar.gelu(x),
+                    DivisionPolicy::OnChip => scalar.gelu_onchip(x),
+                };
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "gelu {division:?} x={x:e} ({:#010x}): {got:e} vs {want:e}",
+                    x.to_bits()
+                );
+            }
+        }
+        assert_eq!(batched.count, scalar.count, "gelu {division:?} op counts");
+    }
+}
