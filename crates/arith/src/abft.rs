@@ -57,8 +57,9 @@
 
 use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
+use crate::kernel8::select_tile8;
 use crate::matrix::MatF32;
-use crate::packed::{dot_i8, select_tile8, EpilogueCtx, PackedBfp};
+use crate::packed::{dot_i8, EpilogueCtx, PackedBfp};
 use crate::quant::{BfpMatrix, Quantizer};
 
 /// Fused per-tile epilogue for the checked kernel: applied to an output

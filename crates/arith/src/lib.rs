@@ -55,6 +55,7 @@ pub mod fpmul;
 pub mod halffp;
 pub mod int8;
 pub mod int8quant;
+pub mod kernel8;
 pub mod lmul;
 pub mod matrix;
 pub mod packed;

@@ -17,14 +17,19 @@
 //! array's column cascade realises in hardware, and the pattern LLVM
 //! auto-vectorises.
 //!
-//! The kernel itself ([`PackedBfp::matmul`]) fuses the per-(bi, bj)
-//! exponent-alignment chain into the dot-product loop: no wide scratch
-//! tile is written and re-read, and no block is ever copied out of the
-//! grid. It is **bit-identical** to [`crate::quant::BfpMatrix::try_matmul`]
-//! and therefore to the `bfp-pu` cycle simulator — the integer tile
-//! products are exact, so fusing changes evaluation order only where
-//! integer addition is associative. The equivalence is pinned by unit
-//! tests here and by the cross-check proptests at the workspace root.
+//! Every GEMM entry point — plain ([`PackedBfp::matmul`]) or with a
+//! fused epilogue and requantizing sink — runs one drain: per output
+//! tile, the whole exponent-alignment chain over `bk`, then dequantize →
+//! epilogue → sink. For the paper's 8×8 blocks the chain is one call into
+//! [`crate::kernel8`] (a runtime-dispatched SIMD kernel with i32
+//! accumulators held in registers); other block sizes, and chains too
+//! long for i32, take a generic i64 loop. No wide scratch tile is written
+//! and re-read, and no block is ever copied out of the grid. The result
+//! is **bit-identical** to [`crate::quant::BfpMatrix::try_matmul`] and
+//! therefore to the `bfp-pu` cycle simulator — the integer tile products
+//! are exact, so fusing changes evaluation order only where integer
+//! addition is associative. The equivalence is pinned by unit tests here
+//! and by the cross-check proptests at the workspace root.
 //!
 //! Shard-level parallelism lives one layer up (`bfp_core::fastgemm`):
 //! every (bi, bj) accumulation chain is independent, so block-rows can be
@@ -33,6 +38,7 @@
 
 use crate::bfp::shift_right_trunc;
 use crate::error::ArithError;
+use crate::kernel8::{chain8, ChainIsa, CHAIN8_MAX_KB};
 use crate::matrix::MatF32;
 use crate::quant::{BfpMatrix, Quantizer};
 
@@ -296,10 +302,7 @@ impl PackedBfp {
     /// Packed GEMM: bit-identical to [`BfpMatrix::try_matmul`] on the same
     /// quantized operands, with zero per-block copies.
     pub fn matmul(&self, rhs: &PackedBfp) -> Result<MatF32, ArithError> {
-        self.check_compatible(rhs)?;
-        let mut out = MatF32::zeros(self.rows, rhs.cols);
-        self.matmul_rows_into(rhs, 0, self.block_rows, out.data_mut());
-        Ok(out)
+        self.matmul_epilogue(rhs, no_epilogue)
     }
 
     /// Packed GEMM with block-rows sharded across up to `threads` scoped
@@ -312,44 +315,8 @@ impl PackedBfp {
     /// shard writes a disjoint slice of the output, so the result is
     /// bit-identical to [`PackedBfp::matmul`] for any thread count.
     pub fn matmul_parallel(&self, rhs: &PackedBfp, threads: usize) -> Result<MatF32, ArithError> {
-        self.check_compatible(rhs)?;
-        let mb = self.block_rows;
-        let threads = threads.min(mb.max(1));
-        if threads <= 1 {
-            let mut out = MatF32::zeros(self.rows, rhs.cols);
-            self.matmul_rows_into(rhs, 0, mb, out.data_mut());
-            return Ok(out);
-        }
-        let b = self.block;
-        let rows = self.rows;
-        let cols = rhs.cols;
-        let mut out = MatF32::zeros(rows, cols);
-        // Carve the output into per-shard row slices up front; the shards
-        // are disjoint, so the scoped threads can write them concurrently.
-        let per = mb.div_ceil(threads);
-        let mut shards: Vec<(usize, usize, &mut [f32])> = Vec::with_capacity(threads);
-        let mut rest = out.data_mut();
-        let mut consumed = 0usize;
-        for t in 0..threads {
-            let lo = (t * per).min(mb);
-            let hi = ((t + 1) * per).min(mb);
-            if lo >= hi {
-                break;
-            }
-            let shard_rows = (hi * b).min(rows) - lo * b;
-            let (head, tail) = rest.split_at_mut(shard_rows * cols);
-            shards.push((lo, hi, head));
-            rest = tail;
-            consumed += shard_rows;
-        }
-        debug_assert_eq!(consumed, rows, "shards must tile the output");
-        crossbeam::thread::scope(|scope| {
-            for (lo, hi, buf) in shards {
-                scope.spawn(move |_| self.matmul_rows_into(rhs, lo, hi, buf));
-            }
-        })
-        .expect("GEMM shard thread panicked");
-        Ok(out)
+        let shards = threads.clamp(1, self.block_rows.max(1));
+        self.matmul_epilogue_parallel(rhs, threads, &mut vec![no_epilogue; shards])
     }
 
     /// Compute output block-rows `bi_lo..bi_hi` into `out_rows`, the
@@ -366,149 +333,18 @@ impl PackedBfp {
     /// [`PackedBfp::check_compatible`] first for operand validation.
     pub fn matmul_rows_into(&self, rhs: &PackedBfp, bi_lo: usize, bi_hi: usize, out_rows: &mut [f32]) {
         let b = self.block;
-        let bb = b * b;
         debug_assert!(self.check_compatible(rhs).is_ok());
         assert!(bi_lo <= bi_hi && bi_hi <= self.block_rows, "block-row range");
         let r0 = bi_lo * b;
         let rows_here = (bi_hi * b).min(self.rows).saturating_sub(r0);
-        let out_cols = rhs.cols;
         assert_eq!(
             out_rows.len(),
-            rows_here * out_cols,
+            rows_here * rhs.cols,
             "output shard must cover its block rows exactly"
         );
-        if b == 8 {
-            return self.matmul_rows_into_b8(rhs, bi_lo, bi_hi, out_rows);
-        }
-        let kb = self.block_cols;
-        // Per-chain wide accumulator, reused across (bi, bj) tiles.
-        let mut acc = vec![0i64; bb];
-        for bi in bi_lo..bi_hi {
-            let imax = b.min(self.rows - bi * b);
-            for bj in 0..rhs.block_cols {
-                let jmax = b.min(rhs.cols - bj * b);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x = &self.man[(bi * kb + bk) * bb..][..bb];
-                    let y = &rhs.man[(bk * rhs.block_cols + bj) * bb..][..bb];
-                    let pexp =
-                        self.exps[bi * kb + bk] as i32 + rhs.exps[bk * rhs.block_cols + bj] as i32;
-                    // The wide tile product is folded straight into the
-                    // accumulator chain — same shift/truncate semantics as
-                    // the reference kernel, applied element-wise.
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a = dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a = shift_right_trunc(*a, sh) + dot_i8(xr, &y[j * b..][..b]) as i64;
-                            }
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for i in 0..b {
-                            let xr = &x[i * b..][..b];
-                            let ar = &mut acc[i * b..][..b];
-                            for (j, a) in ar.iter_mut().enumerate() {
-                                *a += shift_right_trunc(dot_i8(xr, &y[j * b..][..b]) as i64, sh);
-                            }
-                        }
-                    }
-                }
-                if first {
-                    // K = 0: the reference kernel leaves zeros.
-                    for i in 0..imax {
-                        let dst = &mut out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax];
-                        dst.fill(0.0);
-                    }
-                    continue;
-                }
-                let scale = (acc_exp as f64).exp2();
-                for i in 0..imax {
-                    let ar = &acc[i * b..][..b];
-                    let dst = &mut out_rows[(bi * b + i - r0) * out_cols + bj * b..][..jmax];
-                    for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                        *o = (a as f64 * scale) as f32;
-                    }
-                }
-            }
-        }
-    }
-
-    /// The paper-shaped `b == 8` kernel: whole 8×8 tile products through a
-    /// runtime-dispatched micro-kernel (AVX2 when the host has it), merged
-    /// into the alignment chain with the same shift/truncate semantics as
-    /// the generic path. Integer tile products are exact, so the result is
-    /// bit-identical to the generic kernel and the reference.
-    fn matmul_rows_into_b8(&self, rhs: &PackedBfp, bi_lo: usize, bi_hi: usize, out_rows: &mut [f32]) {
-        const B: usize = 8;
-        const BB: usize = 64;
-        let tile8 = select_tile8();
-        let r0 = bi_lo * B;
-        let out_cols = rhs.cols;
-        let kb = self.block_cols;
-        let nb = rhs.block_cols;
-        let mut prod = [0i32; BB];
-        let mut acc = [0i64; BB];
-        for bi in bi_lo..bi_hi {
-            let imax = B.min(self.rows - bi * B);
-            for bj in 0..nb {
-                let jmax = B.min(rhs.cols - bj * B);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x: &[i8; BB] = self.man[(bi * kb + bk) * BB..][..BB].try_into().unwrap();
-                    let y: &[i8; BB] = rhs.man[(bk * nb + bj) * BB..][..BB].try_into().unwrap();
-                    let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    tile8(x, y, &mut prod);
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = prod[t] as i64;
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = shift_right_trunc(acc[t], sh) + prod[t] as i64;
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for t in 0..BB {
-                            acc[t] += shift_right_trunc(prod[t] as i64, sh);
-                        }
-                    }
-                }
-                if first {
-                    for i in 0..imax {
-                        out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax].fill(0.0);
-                    }
-                    continue;
-                }
-                let scale = (acc_exp as f64).exp2();
-                for i in 0..imax {
-                    let ar = &acc[i * B..][..B];
-                    let dst = &mut out_rows[(bi * B + i - r0) * out_cols + bj * B..][..jmax];
-                    for (o, &a) in dst.iter_mut().zip(ar.iter()) {
-                        *o = (a as f64 * scale) as f32;
-                    }
-                }
-            }
-        }
+        let sink = &mut store_rows(out_rows, r0, rhs.cols);
+        self.fused_rows(rhs, bi_lo, bi_hi, &mut no_epilogue, sink)
+            .expect("storing rows cannot fail");
     }
 }
 
@@ -549,19 +385,11 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
     {
         self.check_compatible(rhs)?;
-        let b = self.block;
         let mut out = MatF32::zeros(self.rows, rhs.cols);
-        let out_cols = rhs.cols;
-        let data = out.data_mut();
-        self.fused_rows(rhs, 0, self.block_rows, &mut epi, &mut |tile: &mut [f32],
-                                                                 ctx: &EpilogueCtx| {
-            for i in 0..ctx.imax {
-                let src = &tile[i * b..][..ctx.jmax];
-                let dst = &mut data[(ctx.r0 + i) * out_cols + ctx.c0..][..ctx.jmax];
-                dst.copy_from_slice(src);
-            }
-            Ok(())
-        })?;
+        {
+            let sink = &mut store_rows(out.data_mut(), 0, rhs.cols);
+            self.fused_rows(rhs, 0, self.block_rows, &mut epi, sink)?;
+        }
         Ok(out)
     }
 
@@ -585,21 +413,11 @@ impl PackedBfp {
         let b = self.block;
         let mb = self.block_rows;
         let threads = threads.min(mb.max(1)).min(epis.len().max(1));
-        let mut out = MatF32::zeros(self.rows, rhs.cols);
         if threads <= 1 {
             let epi = epis.first_mut().expect("at least one epilogue");
-            let out_cols = rhs.cols;
-            let data = out.data_mut();
-            self.fused_rows(rhs, 0, mb, epi, &mut |tile: &mut [f32], ctx: &EpilogueCtx| {
-                for i in 0..ctx.imax {
-                    let src = &tile[i * b..][..ctx.jmax];
-                    let dst = &mut data[(ctx.r0 + i) * out_cols + ctx.c0..][..ctx.jmax];
-                    dst.copy_from_slice(src);
-                }
-                Ok(())
-            })?;
-            return Ok(out);
+            return self.matmul_epilogue(rhs, epi);
         }
+        let mut out = MatF32::zeros(self.rows, rhs.cols);
         let rows = self.rows;
         let cols = rhs.cols;
         let per = mb.div_ceil(threads);
@@ -625,17 +443,7 @@ impl PackedBfp {
                 .into_iter()
                 .map(|(lo, hi, buf, epi)| {
                     scope.spawn(move |_| {
-                        let r0 = lo * b;
-                        self.fused_rows(rhs, lo, hi, epi, &mut |tile: &mut [f32],
-                                                                ctx: &EpilogueCtx| {
-                            for i in 0..ctx.imax {
-                                let src = &tile[i * b..][..ctx.jmax];
-                                let dst =
-                                    &mut buf[(ctx.r0 + i - r0) * cols + ctx.c0..][..ctx.jmax];
-                                dst.copy_from_slice(src);
-                            }
-                            Ok(())
-                        })
+                        self.fused_rows(rhs, lo, hi, epi, &mut store_rows(buf, lo * b, cols))
                     })
                 })
                 .collect();
@@ -801,12 +609,11 @@ impl PackedBfp {
         })
     }
 
-    /// Shared fused-kernel driver: computes output tiles `bi_lo..bi_hi` in
+    /// Shared GEMM drain: computes output tiles `bi_lo..bi_hi` in
     /// `(bi, bj)` row-major order, dequantizes each into a `b×b` scratch
     /// buffer, applies `epi` to the hot tile, then hands it to `sink`.
-    /// The accumulation chain is the same shift/truncate chain as
-    /// [`PackedBfp::matmul_rows_into`], so the pre-epilogue bits match the
-    /// unfused kernel exactly.
+    /// The plain GEMM is this drain with no epilogue and a row-copy sink,
+    /// so fused and unfused outputs share one accumulation chain.
     fn fused_rows<E, S>(
         &self,
         rhs: &PackedBfp,
@@ -819,15 +626,30 @@ impl PackedBfp {
         E: FnMut(&mut [f32], &EpilogueCtx),
         S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
     {
-        if self.block == 8 {
-            return self.fused_rows_b8(rhs, bi_lo, bi_hi, epi, sink);
+        if self.block == 8 && self.block_cols < CHAIN8_MAX_KB {
+            return self.fused_rows_b8(ChainIsa::best(), rhs, bi_lo, bi_hi, epi, sink);
         }
+        self.fused_rows_generic(rhs, bi_lo, bi_hi, epi, sink)
+    }
+
+    /// The drain for any block size and chain length: i64 accumulators
+    /// and the reference kernel's shift/truncate chain, element-wise.
+    fn fused_rows_generic<E, S>(
+        &self,
+        rhs: &PackedBfp,
+        bi_lo: usize,
+        bi_hi: usize,
+        epi: &mut E,
+        sink: &mut S,
+    ) -> Result<(), ArithError>
+    where
+        E: FnMut(&mut [f32], &EpilogueCtx),
+        S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
+    {
         let b = self.block;
         let bb = b * b;
         let kb = self.block_cols;
         let nb = rhs.block_cols;
-        let tile8 = if b == 8 { Some(select_tile8()) } else { None };
-        let mut prod32 = [0i32; 64];
         let mut acc = vec![0i64; bb];
         let mut tile = vec![0f32; bb];
         for bi in bi_lo..bi_hi {
@@ -840,31 +662,7 @@ impl PackedBfp {
                     let x = &self.man[(bi * kb + bk) * bb..][..bb];
                     let y = &rhs.man[(bk * nb + bj) * bb..][..bb];
                     let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    if let Some(t8) = tile8 {
-                        t8(
-                            x.try_into().expect("b==8 tile"),
-                            y.try_into().expect("b==8 tile"),
-                            &mut prod32,
-                        );
-                        if first {
-                            first = false;
-                            acc_exp = pexp;
-                            for t in 0..64 {
-                                acc[t] = prod32[t] as i64;
-                            }
-                        } else if pexp >= acc_exp {
-                            let sh = (pexp - acc_exp) as u32;
-                            acc_exp = pexp;
-                            for t in 0..64 {
-                                acc[t] = shift_right_trunc(acc[t], sh) + prod32[t] as i64;
-                            }
-                        } else {
-                            let sh = (acc_exp - pexp) as u32;
-                            for t in 0..64 {
-                                acc[t] += shift_right_trunc(prod32[t] as i64, sh);
-                            }
-                        }
-                    } else if first {
+                    if first {
                         first = false;
                         acc_exp = pexp;
                         for i in 0..b {
@@ -902,7 +700,7 @@ impl PackedBfp {
                     b,
                 };
                 if first {
-                    // K = 0: the unfused kernel leaves zeros; the epilogue
+                    // K = 0: the reference kernel leaves zeros; the epilogue
                     // still runs, as the composed path applies its element
                     // passes to the zero matrix.
                     for i in 0..imax {
@@ -925,14 +723,13 @@ impl PackedBfp {
         Ok(())
     }
 
-    /// The paper-shaped `b == 8` fused drain: same fixed-size stack
-    /// accumulators and runtime-dispatched 8×8 micro-kernel as
-    /// [`PackedBfp::matmul_rows_into`]'s specialized path, so carrying an
-    /// epilogue costs only the epilogue itself — not a slower GEMM.
-    /// Bit-identical to the generic drain (integer tile products are
-    /// exact; the alignment chain is shared).
+    /// The paper-shaped `b == 8` drain: each output tile's whole chain
+    /// runs in the `isa` variant of [`chain8`] (i32 accumulators, exact
+    /// for chains shorter than [`CHAIN8_MAX_KB`]), then one dequantize →
+    /// epilogue → sink pass. Bit-identical to the generic drain.
     fn fused_rows_b8<E, S>(
         &self,
+        isa: ChainIsa,
         rhs: &PackedBfp,
         bi_lo: usize,
         bi_hi: usize,
@@ -945,41 +742,26 @@ impl PackedBfp {
     {
         const B: usize = 8;
         const BB: usize = 64;
-        let tile8 = select_tile8();
         let kb = self.block_cols;
         let nb = rhs.block_cols;
-        let mut prod = [0i32; BB];
-        let mut acc = [0i64; BB];
+        let mut acc = [0i32; BB];
         let mut tile = [0f32; BB];
         for bi in bi_lo..bi_hi {
             let imax = B.min(self.rows - bi * B);
+            let x = &self.man[bi * kb * BB..][..kb * BB];
+            let xe = &self.exps[bi * kb..][..kb];
             for bj in 0..nb {
                 let jmax = B.min(rhs.cols - bj * B);
-                let mut acc_exp = 0i32;
-                let mut first = true;
-                for bk in 0..kb {
-                    let x: &[i8; BB] = self.man[(bi * kb + bk) * BB..][..BB].try_into().unwrap();
-                    let y: &[i8; BB] = rhs.man[(bk * nb + bj) * BB..][..BB].try_into().unwrap();
-                    let pexp = self.exps[bi * kb + bk] as i32 + rhs.exps[bk * nb + bj] as i32;
-                    tile8(x, y, &mut prod);
-                    if first {
-                        first = false;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = prod[t] as i64;
-                        }
-                    } else if pexp >= acc_exp {
-                        let sh = (pexp - acc_exp) as u32;
-                        acc_exp = pexp;
-                        for t in 0..BB {
-                            acc[t] = shift_right_trunc(acc[t], sh) + prod[t] as i64;
-                        }
-                    } else {
-                        let sh = (acc_exp - pexp) as u32;
-                        for t in 0..BB {
-                            acc[t] += shift_right_trunc(prod[t] as i64, sh);
+                match chain8(isa, x, xe, &rhs.man, &rhs.exps, bj, nb, &mut acc) {
+                    Some(acc_exp) => {
+                        let scale = (acc_exp as f64).exp2();
+                        for t in 0..imax * B {
+                            tile[t] = (acc[t] as f64 * scale) as f32;
                         }
                     }
+                    // K = 0: zeros, and the epilogue still runs (see the
+                    // generic drain).
+                    None => tile[..imax * B].fill(0.0),
                 }
                 let ctx = EpilogueCtx {
                     r0: bi * B,
@@ -988,20 +770,28 @@ impl PackedBfp {
                     jmax,
                     b: B,
                 };
-                if first {
-                    // K = 0: the unfused kernel leaves zeros; the epilogue
-                    // still runs, as the composed path applies its element
-                    // passes to the zero matrix.
-                    tile[..imax * B].fill(0.0);
-                } else {
-                    let scale = (acc_exp as f64).exp2();
-                    for t in 0..imax * B {
-                        tile[t] = (acc[t] as f64 * scale) as f32;
-                    }
-                }
                 epi(&mut tile, &ctx);
                 sink(&mut tile, &ctx)?;
             }
+        }
+        Ok(())
+    }
+}
+
+/// The plain GEMM's epilogue: none.
+fn no_epilogue(_: &mut [f32], _: &EpilogueCtx) {}
+
+/// The plain GEMM's sink: copy each finished tile into `out`, the
+/// row-major buffer of output rows `r0..`, `cols` wide.
+fn store_rows(
+    out: &mut [f32],
+    r0: usize,
+    cols: usize,
+) -> impl FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError> + '_ {
+    move |tile, ctx| {
+        for i in 0..ctx.imax {
+            out[(ctx.r0 + i - r0) * cols + ctx.c0..][..ctx.jmax]
+                .copy_from_slice(&tile[i * ctx.b..][..ctx.jmax]);
         }
         Ok(())
     }
@@ -1041,90 +831,6 @@ fn requant_tile(
     }
     crate::telemetry::note_saturated(saturated);
     q.saturation.check(saturated)
-}
-
-/// 8×8 tile-product micro-kernel signature: `out[i·8+j] = Σₖ x[i·8+k]·y[j·8+k]`
-/// (both operands unit-stride in `k` thanks to the block-transposed RHS).
-pub(crate) type Tile8Fn = fn(&[i8; 64], &[i8; 64], &mut [i32; 64]);
-
-/// Portable micro-kernel body. Widening to `i16` first keeps the inner
-/// products in the shape SIMD integer-MAC instructions (`pmaddwd` and
-/// friends) digest, so the auto-vectoriser can use them when the target
-/// features allow.
-#[inline(always)]
-fn tile8_product(x: &[i8; 64], y: &[i8; 64], out: &mut [i32; 64]) {
-    let mut yw = [0i16; 64];
-    for (w, &v) in yw.iter_mut().zip(y.iter()) {
-        *w = v as i16;
-    }
-    for i in 0..8 {
-        let mut xr = [0i16; 8];
-        for (w, &v) in xr.iter_mut().zip(&x[i * 8..i * 8 + 8]) {
-            *w = v as i16;
-        }
-        for j in 0..8 {
-            let yr = &yw[j * 8..j * 8 + 8];
-            let mut s = 0i32;
-            for k in 0..8 {
-                s += xr[k] as i32 * yr[k] as i32;
-            }
-            out[i * 8 + j] = s;
-        }
-    }
-}
-
-/// Hand-scheduled AVX2 kernel: widen the eight RHS runs to i16 once, then
-/// per LHS row one `vpmaddwd` against each run pair and a three-level
-/// `vphaddd` reduction tree. Every sum is an exact i32 addition of the
-/// same i16×i16 products the portable body computes (peak magnitude
-/// 8·127·127 ≪ 2³¹), and integer addition is associative — so the result
-/// is bit-identical to [`tile8_product`] by construction, and the
-/// equivalence tests pin it.
-///
-/// # Safety
-/// Callers must have verified AVX2 support (see [`select_tile8`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn tile8_product_avx2(x: &[i8; 64], y: &[i8; 64], out: &mut [i32; 64]) {
-    use std::arch::x86_64::*;
-    // SAFETY: all loads/stores are unaligned-width intrinsics inside the
-    // fixed 64-element arrays.
-    unsafe {
-        let yp = y.as_ptr();
-        // y runs 2a (lower 128-bit lane) and 2a+1 (upper lane) as i16.
-        let y01 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp as *const __m128i));
-        let y23 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(16) as *const __m128i));
-        let y45 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(32) as *const __m128i));
-        let y67 = _mm256_cvtepi8_epi16(_mm_loadu_si128(yp.add(48) as *const __m128i));
-        // Interleave fix-up for the hadd tree: [d0 d2 d4 d6 | d1 d3 d5 d7]
-        // back to natural j order.
-        let unshuffle = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
-        for i in 0..8 {
-            let xr = _mm_cvtepi8_epi16(_mm_loadl_epi64(x.as_ptr().add(i * 8) as *const __m128i));
-            let xx = _mm256_set_m128i(xr, xr);
-            // Lane half k of t_ab: pairwise i32 sums of x·y_{a or b}.
-            let t01 = _mm256_madd_epi16(xx, y01);
-            let t23 = _mm256_madd_epi16(xx, y23);
-            let t45 = _mm256_madd_epi16(xx, y45);
-            let t67 = _mm256_madd_epi16(xx, y67);
-            let h1 = _mm256_hadd_epi32(t01, t23);
-            let h2 = _mm256_hadd_epi32(t45, t67);
-            let h3 = _mm256_hadd_epi32(h1, h2);
-            let row = _mm256_permutevar8x32_epi32(h3, unshuffle);
-            _mm256_storeu_si256(out.as_mut_ptr().add(i * 8) as *mut __m256i, row);
-        }
-    }
-}
-
-/// Pick the fastest micro-kernel the host supports. Every variant computes
-/// the same exact integer products, so the choice never changes output bits.
-pub(crate) fn select_tile8() -> Tile8Fn {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return |x, y, out| unsafe { tile8_product_avx2(x, y, out) };
-    }
-    tile8_product
 }
 
 /// Unit-stride int8 dot product; the paper-shaped 8-element case lowers to
@@ -1605,6 +1311,158 @@ mod tests {
             assert_bits_eq(&got, &composed);
             let want_q = PackedBfp::quantize_pack_lhs(&q, &composed).unwrap();
             assert_eq!(pa.matmul_epilogue_requant(&pb, &q, epi).unwrap(), want_q);
+        }
+    }
+
+    /// The b = 8 drain in `isa`, or the generic i64 drain for `None`.
+    fn drain<S>(
+        pa: &PackedBfp,
+        pb: &PackedBfp,
+        isa: Option<ChainIsa>,
+        mut epi: impl FnMut(&mut [f32], &EpilogueCtx),
+        sink: &mut S,
+    ) -> Result<(), ArithError>
+    where
+        S: FnMut(&mut [f32], &EpilogueCtx) -> Result<(), ArithError>,
+    {
+        match isa {
+            Some(isa) => pa.fused_rows_b8(isa, pb, 0, pa.block_rows, &mut epi, sink),
+            None => pa.fused_rows_generic(pb, 0, pa.block_rows, &mut epi, sink),
+        }
+    }
+
+    /// [`drain`] behind one epilogue into f32 rows and into a
+    /// requantized packed LHS.
+    fn drain_with(
+        pa: &PackedBfp,
+        pb: &PackedBfp,
+        isa: Option<ChainIsa>,
+        epi: impl Fn(&mut [f32], &EpilogueCtx) + Copy,
+    ) -> (MatF32, Result<PackedBfp, ArithError>) {
+        let q = Quantizer::paper();
+        let (br, bc) = (pa.block_rows, pb.block_cols);
+        let mut out = MatF32::zeros(pa.rows, pb.cols);
+        drain(pa, pb, isa, epi, &mut store_rows(out.data_mut(), 0, pb.cols)).unwrap();
+        let mut exps = vec![0i8; br * bc];
+        let mut man = vec![0i8; br * bc * 64];
+        let requant = drain(pa, pb, isa, epi, &mut |tile: &mut [f32], ctx: &EpilogueCtx| {
+            let t = (ctx.r0 / 8) * bc + ctx.c0 / 8;
+            requant_tile(&q, tile, ctx, q.max_mag() as i8, &mut exps[t], &mut man[t * 64..][..64])
+        })
+        .map(|()| PackedBfp {
+            rows: pa.rows,
+            cols: pb.cols,
+            block: 8,
+            block_rows: br,
+            block_cols: bc,
+            side: PackSide::Lhs,
+            exps,
+            man,
+        });
+        (out, requant)
+    }
+
+    #[test]
+    fn b8_drain_every_variant_matches_the_generic_drain_and_reference() {
+        let q = Quantizer::paper();
+        let bias: Vec<f32> = (0..40).map(|j| (j as f32 * 0.3).sin()).collect();
+        let gelu_ish = |tile: &mut [f32], ctx: &EpilogueCtx| {
+            for i in 0..ctx.imax {
+                for (j, v) in tile[i * ctx.b..][..ctx.jmax].iter_mut().enumerate() {
+                    *v = (*v + bias[ctx.c0 + j]).tanh() * 3.0;
+                }
+            }
+        };
+        // Ragged m/n tails, K = 0, one block, and spiky exponents.
+        let shapes = [(40, 24, 17), (11, 13, 7), (1, 9, 16), (8, 8, 8), (23, 64, 25), (9, 0, 10)];
+        for (m, k, n) in shapes {
+            let (a, b) = (spiky(m, k), spiky(k, n));
+            let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
+            let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
+            let reference = qa.try_matmul(&qb).unwrap();
+            let (plain, _) = drain_with(&pa, &pb, None, no_epilogue);
+            assert_bits_eq(&plain, &reference);
+            let (fused, requant) = drain_with(&pa, &pb, None, gelu_ish);
+            let requant = requant.unwrap();
+            for isa in ChainIsa::supported() {
+                let (got, _) = drain_with(&pa, &pb, Some(isa), no_epilogue);
+                assert_bits_eq(&got, &reference);
+                let (got, got_requant) = drain_with(&pa, &pb, Some(isa), gelu_ish);
+                assert_bits_eq(&got, &fused);
+                assert_eq!(got_requant.unwrap(), requant, "{isa:?} {m}x{k}x{n}");
+            }
+        }
+    }
+
+    /// A packed operand with every mantissa `man` and every exponent 0.
+    fn uniform(rows: usize, cols: usize, side: PackSide, man: i8) -> PackedBfp {
+        let (br, bc) = (rows.div_ceil(8), cols.div_ceil(8));
+        PackedBfp {
+            rows,
+            cols,
+            block: 8,
+            block_rows: br,
+            block_cols: bc,
+            side,
+            exps: vec![0; br * bc],
+            man: vec![man; br * bc * 64],
+        }
+    }
+
+    #[test]
+    fn chains_too_long_for_i32_take_the_i64_drain() {
+        // All -128 mantissas: each tile product element is +2^17, so the
+        // sum reaches 2^31 at kb = 2^14 — one past i32. The shorter chain
+        // stays on the i32 kernel and must still be exact.
+        for kb in [CHAIN8_MAX_KB - 1, CHAIN8_MAX_KB] {
+            let k = kb * 8;
+            let pa = uniform(8, k, PackSide::Lhs, -128);
+            let pb = uniform(k, 8, PackSide::Rhs, -128);
+            let want = (kb as f64 * (1 << 17) as f64) as f32;
+            let got = pa.matmul(&pb).unwrap();
+            assert!(got.data().iter().all(|&v| v == want), "kb {kb}: {} vs {want}", got.get(0, 0));
+        }
+    }
+
+    /// Serial ms per DeiT-S GEMM shape for every chain variant the host
+    /// supports (median of 15 interleaved runs), plus the generic i64
+    /// drain, for the kernel table in DESIGN.md:
+    /// `cargo test --release -p bfp-arith chain_variant_timings -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "timing table; run by hand in release mode"]
+    fn chain_variant_timings() {
+        let q = Quantizer::paper();
+        let isas = ChainIsa::supported();
+        let names: Vec<&str> = isas.iter().map(|i| i.name()).collect();
+        println!("{:20} {}  generic_i64", "shape", names.join("  "));
+        for (name, m, k, n) in [
+            ("qkv", 197, 384, 1152),
+            ("wo", 197, 384, 384),
+            ("fc1", 197, 384, 1536),
+            ("fc2", 197, 1536, 384),
+            ("scores", 197, 64, 197),
+            ("ctx", 197, 197, 64),
+        ] {
+            let pa = PackedBfp::quantize_pack_lhs(&q, &wave(m, k, 1)).unwrap();
+            let pb = PackedBfp::quantize_pack_rhs(&q, &wave(k, n, 2)).unwrap();
+            let mut out = MatF32::zeros(m, n);
+            let mut ms = vec![Vec::new(); isas.len() + 1];
+            for _ in 0..15 {
+                for (v, samples) in ms.iter_mut().enumerate() {
+                    let sink = &mut store_rows(out.data_mut(), 0, n);
+                    let t0 = std::time::Instant::now();
+                    drain(&pa, &pb, isas.get(v).copied(), no_epilogue, sink).unwrap();
+                    samples.push(t0.elapsed().as_secs_f64() * 1e3);
+                }
+            }
+            let medians: Vec<String> = ms
+                .iter_mut()
+                .map(|v| {
+                    v.sort_by(f64::total_cmp);
+                    format!("{:.3}", v[v.len() / 2])
+                })
+                .collect();
+            println!("{:20} {}", format!("{name} {m}x{k}x{n}"), medians.join("  "));
         }
     }
 

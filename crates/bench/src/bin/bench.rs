@@ -4,7 +4,8 @@
 //! packed serial kernel, block-row-parallel kernel) at DeiT layer shapes,
 //! plus cached vs uncached mixed-precision inference, and emits the
 //! results as `BENCH_GEMM.json` so successive PRs have comparable
-//! numbers.
+//! numbers. A `host` block records the core count, the SIMD level and
+//! the `b = 8` chain-kernel variant the packed GEMM dispatched to.
 //!
 //! ```sh
 //! cargo run --release -p bfp-bench --bin bench            # full run
@@ -15,9 +16,10 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use bfp_arith::kernel8::ChainIsa;
 use bfp_arith::packed::PackedBfp;
 use bfp_arith::quant::Quantizer;
-use bfp_bench::smooth_matrix;
+use bfp_bench::{simd_level, smooth_matrix};
 use bfp_core::{packed_matmul, ParallelPolicy, Table};
 use bfp_transformer::{DeitConfig, DeitModel, Image, MixedEngine, VitConfig};
 
@@ -52,13 +54,24 @@ struct GemmRow {
     packed_gops: f64,
 }
 
-/// Best-of-`reps` wall time in milliseconds.
+/// Sampling window per measurement: a sub-millisecond kernel gets as
+/// many repetitions as fit, so one descheduling does not decide its
+/// best-of time.
+const MIN_SAMPLE_MS: f64 = 25.0;
+
+/// Best wall time in milliseconds over at least `reps` runs and at least
+/// [`MIN_SAMPLE_MS`] of sampling.
 fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
+    let mut total = 0.0;
+    let mut runs = 0;
+    while runs < reps.max(1) || total < MIN_SAMPLE_MS {
         let t0 = Instant::now();
         let out = f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        best = best.min(ms);
+        total += ms;
+        runs += 1;
         std::hint::black_box(out);
     }
     best
@@ -224,9 +237,15 @@ fn bench_inference(images: usize) -> InferRow {
 fn to_json(rows: &[GemmRow], infer: &InferRow, threads: usize, quick: bool) -> String {
     let mut s = String::new();
     s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"bench_gemm/v2\",");
+    let _ = writeln!(s, "  \"schema\": \"bench_gemm/v3\",");
     let _ = writeln!(s, "  \"quick\": {quick},");
     let _ = writeln!(s, "  \"threads\": {threads},");
+    let _ = writeln!(
+        s,
+        "  \"host\": {{ \"nproc\": {threads}, \"simd\": \"{}\", \"gemm_chain\": \"{}\" }},",
+        simd_level(),
+        ChainIsa::best().name()
+    );
     s.push_str("  \"gemm\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let _ = writeln!(s, "    {{");
@@ -285,8 +304,12 @@ fn main() {
     let threads = ParallelPolicy::Auto.threads();
 
     println!(
-        "bfp8 GEMM execution paths ({} reps, best-of; {} host threads; sweep {:?})\n",
-        reps, threads, THREAD_SWEEP
+        "bfp8 GEMM execution paths (best of >= {} reps and {MIN_SAMPLE_MS} ms; {} host threads, {}, {} chain kernel; sweep {:?})\n",
+        reps,
+        threads,
+        simd_level(),
+        ChainIsa::best().name(),
+        THREAD_SWEEP
     );
     let rows = bench_gemms(reps);
     // Quick mode shares loaded CI runners; the full run publishes from a

@@ -42,6 +42,25 @@ impl Lcg {
     }
 }
 
+/// Widest x86 SIMD level the CPU reports at run time (`avx512` meaning
+/// AVX-512 F), recorded with benchmark results.
+pub fn simd_level() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx512f") {
+            return "avx512";
+        }
+        if is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+        "sse2"
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "none"
+    }
+}
+
 /// A smooth activation-like matrix (bounded, no outliers).
 pub fn smooth_matrix(rows: usize, cols: usize, seed: u32) -> MatF32 {
     let s = seed as f32;

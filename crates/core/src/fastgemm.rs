@@ -19,11 +19,15 @@ use bfp_arith::matrix::MatF32;
 use bfp_arith::packed::PackedBfp;
 use bfp_arith::quant::Quantizer;
 
-/// Below this many scalar MACs the fork/join overhead of scoped threads
-/// outweighs the work; the kernel runs single-threaded. (A DeiT-Small
-/// projection GEMM is ~29 M MACs — far above; an 8×8 block product is
-/// 512 — far below.)
-pub const PARALLEL_MAC_THRESHOLD: u64 = 2_000_000;
+/// Minimum scalar MACs per shard: below it the fork/join overhead of
+/// scoped threads outweighs the work, and a GEMM under twice this runs
+/// single-threaded. (A DeiT-Small projection GEMM is ~29 M MACs — two
+/// shards; a per-head attention GEMM is 2.5 M — serial.) Measured with
+/// the AVX-512 VNNI chain kernel on 2 cores, median of 300 interleaved
+/// 1- vs 2-thread runs of the whole GEMM: 2.5 M MACs lose 20–40 % on
+/// two threads, 3.7–10 M lose 2–16 %, 14.5 M wins 1.06×, 29 M 1.19×
+/// and 116 M 1.36×.
+pub const PARALLEL_MAC_THRESHOLD: u64 = 8_000_000;
 
 /// How to shard a packed GEMM across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,9 +136,15 @@ mod tests {
     #[test]
     fn parallel_is_bit_identical_to_serial_and_naive() {
         let q = Quantizer::paper();
-        // Large enough to clear PARALLEL_MAC_THRESHOLD: 160·128·160 ≈ 3.3 M.
-        let a = spiky(160, 128);
-        let b = spiky(128, 160);
+        // Large enough for two shards of PARALLEL_MAC_THRESHOLD:
+        // 160·640·160 ≈ 16.4 M.
+        let a = spiky(160, 640);
+        let b = spiky(640, 160);
+        let macs = 160 * 640 * 160;
+        assert_eq!(
+            effective_threads(ParallelPolicy::Threads(2), 20, macs),
+            ParallelPolicy::Auto.threads().min(2)
+        );
         let (qa, qb) = (q.quantize(&a).unwrap(), q.quantize(&b).unwrap());
         let naive = qa.try_matmul(&qb).unwrap();
         let (pa, pb) = (PackedBfp::pack_lhs(&qa), PackedBfp::pack_rhs(&qb));
@@ -198,12 +208,12 @@ mod tests {
     #[test]
     fn effective_threads_respects_every_clamp() {
         // DeiT-Small projection shape: 197·384·384 ≈ 29 M MACs, 25 block
-        // rows. The per-shard minimum caps at 14 threads regardless of the
+        // rows. The per-shard minimum caps at 3 threads regardless of the
         // policy budget.
         let macs = 197u64 * 384 * 384;
         let host = ParallelPolicy::Auto.threads();
         let t = effective_threads(ParallelPolicy::Threads(64), 25, macs);
-        assert!(t <= 14, "per-shard MAC minimum: {t}");
+        assert!(t <= 3, "per-shard MAC minimum: {t}");
         assert!(t <= host, "never oversubscribe the host: {t} > {host}");
         assert!(t <= 25, "never more threads than block rows");
         // Below the fork/join threshold everything degenerates to serial,

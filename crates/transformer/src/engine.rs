@@ -357,9 +357,15 @@ pub struct NodeTime {
 }
 
 /// Below this many scalar MACs the engine's GEMM stays on one thread —
-/// fork/join costs more than the kernel (same rationale and value as
-/// `bfp_core::fastgemm::PARALLEL_MAC_THRESHOLD`).
-const GEMM_PARALLEL_MACS: u64 = 2_000_000;
+/// fork/join costs more than the kernel (the measurement behind
+/// `bfp_core::fastgemm::PARALLEL_MAC_THRESHOLD`, which bounds MACs per
+/// shard instead). With the AVX-512 VNNI chain kernel on 2 cores,
+/// median of 300 interleaved 1- vs 2-thread runs: the per-head
+/// 197×64×197 and 197×197×64 GEMMs (2.5 M MACs, ~0.07–0.10 ms serial)
+/// lose 20–40 % on two threads, 3.7–10 M MACs lose 2–16 %, and two
+/// threads win from 14.5 M (1.06×), at the 29 M projections (1.19×)
+/// and at the 116 M MLP GEMMs (1.36×).
+const GEMM_PARALLEL_MACS: u64 = 12_000_000;
 
 /// Minimum f32 elements per worker shard of an **exact-mode** non-linear
 /// kernel: below this, a shard's work does not amortise its thread's
